@@ -379,45 +379,38 @@ fn main() {
     // ---- enabled-recorder overhead probe ---------------------------------
 
     // Min-of-N wall clock of the identical scenario with and without the
-    // ring recorder installed: min (not mean) sheds scheduler noise; the
+    // ring recorder installed: min (not mean) sheds scheduler noise. The
+    // ring is allocated and installed before the clock starts, so the
     // remaining delta is the per-event recording cost the `trace-overhead`
     // gate bounds.
-    let trace_overhead_pct = {
-        let probe = Scenario::suite()
-            .into_iter()
-            .find(|s| s.name == "exec-tampering");
-        probe.and_then(|scenario| {
-            const PROBE_ITERS: u32 = 5;
-            let mut untraced_us = u128::MAX;
-            let mut traced_us = u128::MAX;
-            for _ in 0..PROBE_ITERS {
-                let start = std::time::Instant::now();
-                if run_scenario_mode(&scenario, Baseline::Tnic, trace_mode).is_err() {
-                    return None;
-                }
-                untraced_us = untraced_us.min(start.elapsed().as_micros());
-                let start = std::time::Instant::now();
-                if run_scenario_traced(&scenario, Baseline::Tnic, trace_mode, TRACE_CAPACITY)
-                    .is_err()
-                {
-                    return None;
-                }
-                traced_us = traced_us.min(start.elapsed().as_micros());
-            }
-            if untraced_us == 0 {
-                return None;
-            }
-            Some((traced_us as f64 / untraced_us as f64 - 1.0) * 100.0)
-        })
-    };
-    if let Some(pct) = trace_overhead_pct {
+    let trace_overhead = Scenario::suite()
+        .into_iter()
+        .find(|s| s.name == "exec-tampering")
+        .and_then(|scenario| {
+            tnic_bench::measure_trace_overhead(
+                5,
+                || run_scenario_mode(&scenario, Baseline::Tnic, trace_mode).is_ok(),
+                || Box::new(tnic_obs::RingRecorder::with_capacity(TRACE_CAPACITY)),
+            )
+        });
+    if let Some(m) = trace_overhead {
+        // A ring slot holds one `Event`: the recorder's bytes per event.
+        let event_bytes = std::mem::size_of::<tnic_obs::Event>();
         println!(
-            "\nenabled-recorder overhead: {pct:.1}% wall clock on exec-tampering \
-             (gate: <= {max_trace_overhead_pct:.0}%)"
+            "\nenabled-recorder overhead: {:.1}% wall clock on exec-tampering \
+             (gate: <= {max_trace_overhead_pct:.0}%): {:.0} ns and {} B per recorded \
+             event, {} events, {:.0} -> {:.0} us",
+            m.pct(),
+            m.ns_per_event(),
+            event_bytes,
+            m.events,
+            m.untraced_us,
+            m.traced_us
         );
-        registry
-            .scope("tracing")
-            .set_gauge("trace_overhead_pct", pct);
+        let scope = registry.scope("tracing");
+        scope.set_gauge("trace_overhead_pct", m.pct());
+        scope.set_gauge("trace_ns_per_event", m.ns_per_event());
+        scope.set_gauge("trace_bytes_per_event", event_bytes as f64);
     }
 
     // ---- accountability stacked on the BFT / CR transforms --------------
@@ -633,7 +626,7 @@ fn main() {
             &sampled_cases,
             max_exposure_latency_rounds + SAMPLED_COVERAGE_WINDOW,
         ),
-        gates::trace_overhead_gate(trace_overhead_pct, max_trace_overhead_pct),
+        gates::trace_overhead_gate(trace_overhead.map(|m| m.pct()), max_trace_overhead_pct),
     ];
     if let Some(retention) = &retention {
         deviation_gates.push(gates::retention_verdict_gate(retention));

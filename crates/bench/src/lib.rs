@@ -437,6 +437,68 @@ pub fn run_scenario_traced(
     Ok((result, events, dropped, dropped_by_node))
 }
 
+/// The enabled-recorder cost measured by [`measure_trace_overhead`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceOverhead {
+    /// Fastest untraced run, microseconds.
+    pub untraced_us: f64,
+    /// Fastest traced run, microseconds.
+    pub traced_us: f64,
+    /// Events one traced run recorded (retained plus dropped).
+    pub events: u64,
+}
+
+impl TraceOverhead {
+    /// Whole-run slowdown in percent: `(traced / untraced - 1) * 100`.
+    #[must_use]
+    pub fn pct(&self) -> f64 {
+        (self.traced_us / self.untraced_us - 1.0) * 100.0
+    }
+
+    /// Wall-clock recording cost per event, nanoseconds.
+    #[must_use]
+    pub fn ns_per_event(&self) -> f64 {
+        (self.traced_us - self.untraced_us) * 1e3 / self.events.max(1) as f64
+    }
+}
+
+/// Min-of-`iters` wall clock of `run` without and with a recorder built by
+/// `recorder` installed. The recorder is built, installed and removed
+/// outside the timed region, so the difference is the cost of recording
+/// events, not of allocating the ring. Returns `None` if `run` reports a
+/// failure or the untraced run is too fast to time.
+pub fn measure_trace_overhead(
+    iters: u32,
+    mut run: impl FnMut() -> bool,
+    mut recorder: impl FnMut() -> Box<dyn tnic_obs::Recorder>,
+) -> Option<TraceOverhead> {
+    let mut untraced = std::time::Duration::MAX;
+    let mut traced = std::time::Duration::MAX;
+    let mut events = 0;
+    for _ in 0..iters {
+        let start = std::time::Instant::now();
+        if !run() {
+            return None;
+        }
+        untraced = untraced.min(start.elapsed());
+        tnic_obs::install_recorder(recorder());
+        let start = std::time::Instant::now();
+        let ok = run();
+        let elapsed = start.elapsed();
+        let installed = tnic_obs::uninstall_recorder()?;
+        if !ok {
+            return None;
+        }
+        traced = traced.min(elapsed);
+        events = installed.snapshot().len() as u64 + installed.dropped();
+    }
+    (!untraced.is_zero()).then_some(TraceOverhead {
+        untraced_us: untraced.as_secs_f64() * 1e6,
+        traced_us: traced.as_secs_f64() * 1e6,
+        events,
+    })
+}
+
 /// Formats scenario results as an aligned terminal table.
 #[must_use]
 pub fn render_table(results: &[ScenarioResult]) -> String {
@@ -2613,6 +2675,52 @@ pub fn assert_verdict_parity(subject: &ParityOutcome, twin: &ParityOutcome, cont
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A ring recorder that burns `cost` of wall clock on every event: the
+    /// defect the `trace-overhead` gate exists to catch.
+    struct SlowRecorder {
+        ring: tnic_obs::RingRecorder,
+        cost: std::time::Duration,
+    }
+
+    impl tnic_obs::Recorder for SlowRecorder {
+        fn record(&mut self, event: tnic_obs::Event) {
+            let start = std::time::Instant::now();
+            while start.elapsed() < self.cost {
+                std::hint::spin_loop();
+            }
+            self.ring.record(event);
+        }
+
+        fn snapshot(&self) -> Vec<tnic_obs::Event> {
+            self.ring.snapshot()
+        }
+    }
+
+    #[test]
+    fn injected_per_event_recorder_cost_trips_trace_overhead_gate() {
+        let scenario = Scenario::suite()
+            .into_iter()
+            .find(|s| s.name == "exec-tampering")
+            .unwrap();
+        let mode = CommitMode::Piggyback { witnesses: 2 };
+        let run = || run_scenario_mode(&scenario, Baseline::Tnic, mode).is_ok();
+        let cost = std::time::Duration::from_micros(50);
+        let slow = measure_trace_overhead(2, run, || {
+            Box::new(SlowRecorder {
+                ring: tnic_obs::RingRecorder::with_capacity(1 << 12),
+                cost,
+            })
+        })
+        .expect("probe runs");
+        assert!(slow.events > 0, "the scenario records events");
+        assert!(
+            slow.ns_per_event() >= 0.9 * cost.as_nanos() as f64,
+            "{slow:?}"
+        );
+        let gate = gates::trace_overhead_gate(Some(slow.pct()), 150.0);
+        assert!(!gate.passed, "{slow:?}");
+    }
 
     #[test]
     fn suite_covers_every_fault_class_once() {

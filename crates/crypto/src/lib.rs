@@ -6,8 +6,13 @@
 //! provides all of those primitives implemented from scratch so the trusted
 //! computing base of the simulated hardware is self-contained:
 //!
-//! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions.
-//! * [`hmac`] — HMAC (RFC 2104) over either hash.
+//! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions. SHA-256 runs on
+//!   the x86-64 SHA extensions (SHA-NI) when the CPU has them, detected once
+//!   at run time, and on portable scalar code otherwise; see
+//!   [`sha256::Backend`].
+//! * [`hmac`] — HMAC (RFC 2104) over either hash, plus [`hmac::HmacKey`],
+//!   a SHA-256 key held as its two keyed midstates, which is how the
+//!   attestation kernel stores session keys.
 //! * [`hkdf`] — HKDF (RFC 5869) key derivation for session keys.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439).
 //! * [`secretbox`] — authenticated encryption via ChaCha20 + HMAC-SHA-256
@@ -16,6 +21,13 @@
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032) for controller and client
 //!   certificates.
 //! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748) for the attestation channel.
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code`; the single exception is the SHA-NI
+//! compression module inside [`sha256`], which needs `#[target_feature]`
+//! intrinsics and unaligned SSE loads. It is entered only after run-time
+//! feature detection, and every `unsafe` block states why it is sound.
 //!
 //! # Security disclaimer
 //!
@@ -32,7 +44,7 @@
 //! assert_eq!(tag.len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chacha20;

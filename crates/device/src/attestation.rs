@@ -19,7 +19,6 @@ use crate::error::DeviceError;
 use crate::keystore::Keystore;
 use crate::types::{DeviceId, SessionId};
 use serde::{Deserialize, Serialize};
-use tnic_crypto::hmac::HmacSha256;
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
 
@@ -199,15 +198,6 @@ fn encode_parts(
     out.extend_from_slice(payload);
 }
 
-/// Computes the attestation MAC over `msg ‖ ID ‖ cnt` with the session key.
-fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(payload);
-    mac.update(&device.0.to_le_bytes());
-    mac.update(&counter.to_le_bytes());
-    mac.finalize()
-}
-
 /// Timing model of the attestation kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AttestationTiming {
@@ -301,9 +291,9 @@ impl AttestationKernel {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.mac_key(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.device, counter);
+        let mac = key.attestation_mac(payload, self.device.0, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Attest,
@@ -339,9 +329,9 @@ impl AttestationKernel {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.mac_key(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.device, counter);
+        let mac = key.attestation_mac(payload, self.device.0, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Attest,
@@ -375,9 +365,9 @@ impl AttestationKernel {
     ///
     /// As [`AttestationKernel::verify`].
     pub fn verify_view(&mut self, message: &AttestedView<'_>) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.mac_key(message.session)?;
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(&key, message.payload, message.device, message.counter);
+        let expected_mac = key.attestation_mac(message.payload, message.device.0, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);
@@ -429,9 +419,9 @@ impl AttestationKernel {
         &mut self,
         message: &AttestedView<'_>,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.mac_key(message.session)?;
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(&key, message.payload, message.device, message.counter);
+        let expected_mac = key.attestation_mac(message.payload, message.device.0, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);

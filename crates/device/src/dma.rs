@@ -24,8 +24,14 @@ pub enum DmaMode {
 }
 
 /// A registered host-memory region eligible for DMA (the "ibv memory").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The region reads as `len` zeroed bytes, but only the prefix up to the
+/// highest byte ever written is backed by memory, so an endpoint's mostly
+/// unused 1 MiB region costs what it holds rather than its nominal size.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DmaRegion {
+    len: usize,
+    /// The written prefix; every byte past it reads as zero.
     data: Vec<u8>,
 }
 
@@ -34,20 +40,21 @@ impl DmaRegion {
     #[must_use]
     pub fn new(len: usize) -> Self {
         DmaRegion {
-            data: vec![0u8; len],
+            len,
+            data: Vec::new(),
         }
     }
 
     /// Region length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// Returns `true` if the region has zero length.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Copies `bytes` into the region at `offset`.
@@ -59,8 +66,11 @@ impl DmaRegion {
         let end = offset
             .checked_add(bytes.len())
             .ok_or(DeviceError::DmaOutOfBounds)?;
-        if end > self.data.len() {
+        if end > self.len {
             return Err(DeviceError::DmaOutOfBounds);
+        }
+        if end > self.data.len() {
+            self.data.resize(end, 0);
         }
         self.data[offset..end].copy_from_slice(bytes);
         Ok(())
@@ -73,10 +83,14 @@ impl DmaRegion {
     /// Returns [`DeviceError::DmaOutOfBounds`] if the read exceeds the region.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>, DeviceError> {
         let end = offset.checked_add(len).ok_or(DeviceError::DmaOutOfBounds)?;
-        if end > self.data.len() {
+        if end > self.len {
             return Err(DeviceError::DmaOutOfBounds);
         }
-        Ok(self.data[offset..end].to_vec())
+        let mut out = vec![0u8; len];
+        if let Some(written) = self.data.get(offset..end.min(self.data.len())) {
+            out[..written.len()].copy_from_slice(written);
+        }
+        Ok(out)
     }
 }
 
@@ -165,6 +179,15 @@ mod tests {
         assert_eq!(region.len(), 64);
         region.write(10, b"hello").unwrap();
         assert_eq!(region.read(10, 5).unwrap(), b"hello");
+    }
+
+    #[test]
+    fn region_reads_zero_past_the_written_prefix() {
+        let mut region = DmaRegion::new(1 << 20);
+        assert_eq!(region.read(100, 4).unwrap(), vec![0u8; 4]);
+        region.write(8, b"abc").unwrap();
+        assert_eq!(region.read(6, 8).unwrap(), b"\0\0abc\0\0\0");
+        assert_eq!(region.read((1 << 20) - 2, 2).unwrap(), vec![0u8; 2]);
     }
 
     #[test]

@@ -4,15 +4,21 @@
 //! a unique identifier and one shared secret key per session, stored in static
 //! on-chip memory. The keys never leave the device; the untrusted host only
 //! refers to them by [`SessionId`].
+//!
+//! A key is stored as its HMAC-SHA-256 midstates ([`HmacKey`], 64 bytes) in
+//! place of the 32 raw bytes: the kernel only ever uses a key to MAC, and
+//! starting from the midstates saves two of the five compressions of a
+//! 64-byte attestation.
 
 use crate::error::DeviceError;
 use crate::types::SessionId;
 use std::collections::HashMap;
+use tnic_crypto::hmac::HmacKey;
 
 /// Per-session symmetric keys held in (simulated) on-chip static memory.
 #[derive(Clone, Default)]
 pub struct Keystore {
-    keys: HashMap<SessionId, [u8; 32]>,
+    keys: HashMap<SessionId, HmacKey>,
 }
 
 impl std::fmt::Debug for Keystore {
@@ -35,7 +41,7 @@ impl Keystore {
 
     /// Installs (or replaces) the key for `session`.
     pub fn install(&mut self, session: SessionId, key: [u8; 32]) {
-        self.keys.insert(session, key);
+        self.keys.insert(session, HmacKey::new(&key));
     }
 
     /// Removes the key for `session`, returning `true` if one was present.
@@ -43,12 +49,12 @@ impl Keystore {
         self.keys.remove(&session).is_some()
     }
 
-    /// Looks up the key for `session`.
+    /// Looks up the keyed MAC state for `session`.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::UnknownSession`] if no key is installed.
-    pub fn key(&self, session: SessionId) -> Result<&[u8; 32], DeviceError> {
+    pub fn mac_key(&self, session: SessionId) -> Result<&HmacKey, DeviceError> {
         self.keys
             .get(&session)
             .ok_or(DeviceError::UnknownSession(session))
@@ -89,12 +95,12 @@ mod tests {
         assert!(ks.is_empty());
         ks.install(SessionId(1), [7u8; 32]);
         assert!(ks.contains(SessionId(1)));
-        assert_eq!(ks.key(SessionId(1)).unwrap(), &[7u8; 32]);
+        assert_eq!(ks.mac_key(SessionId(1)).unwrap(), &HmacKey::new(&[7u8; 32]));
         assert_eq!(ks.len(), 1);
         assert!(ks.remove(SessionId(1)));
         assert!(!ks.remove(SessionId(1)));
         assert_eq!(
-            ks.key(SessionId(1)),
+            ks.mac_key(SessionId(1)),
             Err(DeviceError::UnknownSession(SessionId(1)))
         );
     }
@@ -104,7 +110,7 @@ mod tests {
         let mut ks = Keystore::new();
         ks.install(SessionId(2), [1u8; 32]);
         ks.install(SessionId(2), [2u8; 32]);
-        assert_eq!(ks.key(SessionId(2)).unwrap(), &[2u8; 32]);
+        assert_eq!(ks.mac_key(SessionId(2)).unwrap(), &HmacKey::new(&[2u8; 32]));
         assert_eq!(ks.len(), 1);
     }
 

@@ -8,7 +8,6 @@
 //! real, the latency is charged from the baseline's calibrated profile.
 
 use crate::profile::{Baseline, BaselineProfile};
-use tnic_crypto::hmac::HmacSha256;
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::counters::CounterStore;
 use tnic_device::error::DeviceError;
@@ -16,14 +15,6 @@ use tnic_device::keystore::Keystore;
 use tnic_device::types::{DeviceId, SessionId};
 use tnic_sim::rng::DetRng;
 use tnic_sim::time::SimDuration;
-
-fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(payload);
-    mac.update(&device.0.to_le_bytes());
-    mac.update(&counter.to_le_bytes());
-    mac.finalize()
-}
 
 /// An attestation service hosted on the CPU (natively or inside a TEE).
 #[derive(Debug, Clone)]
@@ -93,9 +84,9 @@ impl TeeAttestor {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.mac_key(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.node, counter);
+        let mac = key.attestation_mac(payload, self.node.0, counter);
         let cost = self.invocation_cost(payload.len());
         Ok((
             AttestedMessage {
@@ -116,9 +107,9 @@ impl TeeAttestor {
     /// Returns [`DeviceError::BadAttestation`] or
     /// [`DeviceError::CounterMismatch`] like the hardware kernel.
     pub fn verify(&mut self, message: &AttestedMessage) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.mac_key(message.session)?;
+        let expected_mac = key.attestation_mac(&message.payload, message.device.0, message.counter);
         let cost = self.invocation_cost(message.payload.len());
-        let expected_mac = compute_mac(&key, &message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             return Err(DeviceError::BadAttestation);
         }
@@ -144,9 +135,9 @@ impl TeeAttestor {
         &mut self,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.mac_key(message.session)?;
+        let expected_mac = key.attestation_mac(&message.payload, message.device.0, message.counter);
         let cost = self.invocation_cost(message.payload.len());
-        let expected_mac = compute_mac(&key, &message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             return Err(DeviceError::BadAttestation);
         }
