@@ -550,6 +550,12 @@ impl AccountableA2m {
         &self.engine
     }
 
+    /// The underlying cluster (transport counters, lemma monitor).
+    #[must_use]
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
+    }
+
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> SimInstant {

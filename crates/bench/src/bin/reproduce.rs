@@ -26,9 +26,9 @@
 //! the markdown report the run emits a machine-readable
 //! `BENCH_report.json` (gate outcomes, per-scenario numbers, the metrics
 //! registry), and **any** failing gate writes a bounded flight-recorder
-//! dump to `reports/flightrec-reproduce.json` — trace tail, metrics
-//! snapshot and log-composition breakdown — so a red CI run carries its
-//! own post-mortem.
+//! dump to `reports/flightrec-reproduce.json` — the failing gates'
+//! violations, trace tail, metrics snapshot and log-composition
+//! breakdown — so a red CI run carries its own post-mortem.
 //!
 //! Every PeerReview scenario runs a 4-node accountable deployment (3 rounds
 //! × 8 application messages) with one Byzantine behaviour injected through
@@ -91,7 +91,11 @@
 //! `--check` turns the run into a CI gate. Every gate is *named* and
 //! evaluated independently (`tnic_bench::gates`); a failing run prints
 //! each broken gate by name — never just the first — and exits non-zero.
-//! Verdict/accuracy/completeness gates are fatal even without `--check`;
+//! The `lemmas` gate requires every fault, accountability-over-application
+//! and churn row to end with zero violations of the paper's §4.4 lemmas,
+//! as flagged by each cluster's online monitor
+//! (`tnic_core::verification::LemmaMonitor`).
+//! Verdict/accuracy/completeness/lemma gates are fatal even without `--check`;
 //! the overhead and memory bounds (`--max-ctl-app`, `--max-acct-ctl-app`,
 //! the relative [`CKPT_OVERHEAD_FACTOR`], `--max-retained-entries`,
 //! `--max-exposure-latency-rounds`) only gate under `--check`.
@@ -612,6 +616,7 @@ fn main() {
         gates::churn_accuracy_gate(&churn_results),
         gates::exposure_completeness_gate(&latency_cases),
         gates::execution_gate(&failed_runs),
+        gates::lemmas_gate(&results, &acct_results, &churn_results),
     ];
     // Perf/memory bounds: enforced under `--check` only.
     let mut bound_gates = vec![
@@ -691,9 +696,9 @@ fn main() {
             .collect();
         println!("FAILED gates: {}", broken.join(", "));
         // Flight recorder: every red run carries its own post-mortem — the
-        // exec-tampering trace tail, the metrics snapshot and the
-        // log-composition breakdown, bounded and CI-artifacted.
-        let reason = format!("failing gates: {}", broken.join(", "));
+        // failing gates' violations, the exec-tampering trace tail, the
+        // metrics snapshot and the log-composition breakdown, bounded and
+        // CI-artifacted.
         let (events, dropped) = traces
             .first()
             .map_or((&[] as &[tnic_obs::Event], 0), |(_, e, d)| {
@@ -711,15 +716,8 @@ fn main() {
                 || std::path::PathBuf::from("reports"),
                 std::path::Path::to_path_buf,
             );
-        match tnic_obs::flight::write_flight_record(
-            &flight_dir,
-            "reproduce",
-            &reason,
-            events,
-            dropped,
-            4096,
-            &sections,
-        ) {
+        match report::write_gate_flight_record(&flight_dir, &all_gates, events, dropped, &sections)
+        {
             Ok(path) => println!("flight record written to {}", path.display()),
             Err(err) => eprintln!("cannot write flight record: {err}"),
         }

@@ -438,6 +438,41 @@ pub fn retention_bounds_gate(report: &RetentionReport, max_retained_entries: u64
     GateOutcome::from_violations("retention-bounds", violations)
 }
 
+/// Every row's online lemma monitor ended its run clean: no row accepted
+/// a message its sender never sent (or sent with other bytes), skipped or
+/// repeated a counter, or finished a vendor attestation without the device
+/// side (see `tnic_core::verification`).
+#[must_use]
+pub fn lemmas_gate(
+    results: &[ScenarioResult],
+    acct_results: &[AcctScenarioResult],
+    churn_results: &[ChurnScenarioResult],
+) -> GateOutcome {
+    let mut violations = Vec::new();
+    let mut note = |row: String, count: u64| {
+        if count > 0 {
+            violations.push(format!("{row}: {count} lemma violation(s)"));
+        }
+    };
+    for r in results {
+        let row = format!("{} [{} / {}]", r.name, r.baseline.label(), r.mode.label());
+        note(row, r.lemma_violations);
+    }
+    for r in acct_results {
+        note(
+            format!("{} [{}]", r.name, r.mode.label()),
+            r.lemma_violations,
+        );
+    }
+    for r in churn_results {
+        note(
+            format!("{} [{}]", r.name, r.mode.label()),
+            r.lemma_violations,
+        );
+    }
+    GateOutcome::from_violations("lemmas", violations)
+}
+
 /// Every scheduled run actually executed (no scenario erred out).
 #[must_use]
 pub fn execution_gate(failed_runs: &[String]) -> GateOutcome {
@@ -494,6 +529,7 @@ mod tests {
             log_ctl_entries: 0,
             log_audit_entries: 0,
             entries_replayed: 0,
+            lemma_violations: 0,
         }
     }
 
@@ -680,6 +716,7 @@ mod tests {
             challenge_retries: 0,
             messages_unreachable: 4,
             messages_partitioned: 0,
+            lemma_violations: 0,
         }
     }
 

@@ -20,7 +20,7 @@ pub mod report;
 use std::collections::BTreeMap;
 use tnic_a2m::AccountableA2m;
 use tnic_bft::{BftConfig, BftCounter};
-use tnic_core::api::NodeId;
+use tnic_core::api::{ClusterStats, NodeId};
 use tnic_core::error::CoreError;
 use tnic_cr::ChainReplication;
 use tnic_net::adversary::{Adversary, FaultPlan, NodeFault, PartitionSchedule};
@@ -306,6 +306,8 @@ pub struct ScenarioResult {
     /// Log entries fed through audit replay across all witnesses — the
     /// replay-work side of the full-audit O(w²) wall.
     pub entries_replayed: u64,
+    /// Violations the cluster's online lemma monitor flagged.
+    pub lemma_violations: u64,
 }
 
 /// Runs `scenario` on a 4-node deployment over `baseline` with dedicated
@@ -406,6 +408,7 @@ pub fn run_scenario_mode(
         log_ctl_entries: stats.log_control_digest_entries,
         log_audit_entries: stats.log_audit_digest_entries,
         entries_replayed: stats.entries_replayed,
+        lemma_violations: pr.cluster().stats().lemma_violations,
     })
 }
 
@@ -662,6 +665,8 @@ pub struct AcctScenarioResult {
     pub time_overhead: f64,
     /// Total virtual time of the accountable run in microseconds.
     pub virtual_time_us: u64,
+    /// Violations the accountable run's online lemma monitor flagged.
+    pub lemma_violations: u64,
 }
 
 /// Judges the witness verdicts of an accountable run: the expected faulty
@@ -712,9 +717,9 @@ fn summarize_acct(
     mode: CommitMode,
     stats: &AccountabilityStats,
     verdict: (&'static str, bool),
-    protocol_committed: bool,
-    state_parity: bool,
+    (protocol_committed, state_parity): (bool, bool),
     times_us: (u64, u64),
+    lemma_violations: u64,
 ) -> AcctScenarioResult {
     let (acct_time_us, bare_time_us) = times_us;
     AcctScenarioResult {
@@ -735,6 +740,7 @@ fn summarize_acct(
             acct_time_us as f64 / bare_time_us as f64
         },
         virtual_time_us: acct_time_us,
+        lemma_violations,
     }
 }
 
@@ -793,9 +799,9 @@ fn run_bft_acct(
         mode,
         &system.acct_stats(),
         verdict,
-        committed,
-        state_parity,
+        (committed, state_parity),
         (system.now().as_micros(), bare.now().as_micros()),
+        system.cluster().stats().lemma_violations,
     ))
 }
 
@@ -854,9 +860,9 @@ fn run_cr_acct(scenario: &AcctScenario, mode: CommitMode) -> Result<AcctScenario
         mode,
         &system.acct_stats(),
         verdict,
-        committed,
-        state_parity,
+        (committed, state_parity),
         (system.now().as_micros(), bare.now().as_micros()),
+        system.cluster().stats().lemma_violations,
     ))
 }
 
@@ -933,9 +939,9 @@ fn run_a2m_acct(
         mode,
         &system.acct_stats(),
         verdict,
-        committed,
-        state_parity,
+        (committed, state_parity),
         (system.now().as_micros(), bare.now().as_micros()),
+        system.cluster().stats().lemma_violations,
     ))
 }
 
@@ -1863,17 +1869,16 @@ pub struct ParityOutcome {
     pub evidence: BTreeMap<(u32, u32), Vec<&'static str>>,
     /// The run's accountability counters.
     pub stats: AccountabilityStats,
-    /// Messages the cluster transport sent / rejected (0 where the app does
-    /// not expose its cluster).
+    /// Messages the cluster transport sent.
     pub messages_sent: u64,
     /// Messages the cluster transport rejected (duplicates, tampering).
     pub messages_rejected: u64,
-    /// Sends refused because an endpoint was crashed or departed (0 where
-    /// the app does not expose its cluster).
+    /// Sends refused because an endpoint was crashed or departed.
     pub messages_unreachable: u64,
-    /// Sends refused by an open partition cut (0 where the app does not
-    /// expose its cluster).
+    /// Sends refused by an open partition cut.
     pub messages_partitioned: u64,
+    /// Violations the cluster's online lemma monitor flagged.
+    pub lemma_violations: u64,
     /// Total virtual time of the run in microseconds.
     pub virtual_time_us: u64,
 }
@@ -1928,7 +1933,8 @@ impl ParityOutcome {
 /// # Panics
 ///
 /// Panics if [`ParitySpec::adversary`] is set for an app other than
-/// [`SweepApp::PeerReview`] (the other drivers do not expose their cluster).
+/// [`SweepApp::PeerReview`] (the other drivers do not expose their cluster
+/// mutably).
 pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError> {
     assert!(
         spec.adversary.is_none() || spec.app == SweepApp::PeerReview,
@@ -1964,8 +1970,8 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
         }};
     }
     macro_rules! acct_outcome {
-        ($system:expr, $nodes:expr, $stats:expr, $sent:expr, $rejected:expr,
-         $unreachable:expr, $partitioned:expr) => {{
+        ($system:expr, $nodes:expr, $stats:expr, $cluster:expr) => {{
+            let cluster: ClusterStats = $cluster;
             let nodes: u32 = $nodes;
             let mut verdicts = VerdictMap::new();
             let mut evidence = BTreeMap::new();
@@ -1988,10 +1994,11 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
                 verdicts,
                 evidence,
                 stats: $stats,
-                messages_sent: $sent,
-                messages_rejected: $rejected,
-                messages_unreachable: $unreachable,
-                messages_partitioned: $partitioned,
+                messages_sent: cluster.messages_sent,
+                messages_rejected: cluster.messages_rejected,
+                messages_unreachable: cluster.messages_unreachable,
+                messages_partitioned: cluster.messages_partitioned,
+                lemma_violations: cluster.lemma_violations,
                 virtual_time_us: $system.now().as_micros(),
             }
         }};
@@ -2044,16 +2051,7 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
                 pr.drain_audits()?;
             }
             let nodes = spec.nodes + spec.churn.as_ref().map_or(0, ChurnPlan::joins);
-            let cluster_stats = pr.cluster().stats();
-            Ok(acct_outcome!(
-                pr,
-                nodes,
-                pr.stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
-            ))
+            Ok(acct_outcome!(pr, nodes, pr.stats(), pr.cluster().stats()))
         }
         SweepApp::Bft => {
             let f = (spec.nodes.max(3) - 1) / 2;
@@ -2070,15 +2068,11 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
                 spec.faults.clone(),
             )?;
             drive_acct_rounds!(system, system.client_increment()?);
-            let cluster_stats = system.cluster().stats();
             Ok(acct_outcome!(
                 system,
                 system.replica_count() as u32,
                 system.acct_stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
+                system.cluster().stats()
             ))
         }
         SweepApp::Cr => {
@@ -2123,15 +2117,11 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
                     op += 1;
                 });
             }
-            let cluster_stats = system.cluster().stats();
             Ok(acct_outcome!(
                 system,
                 nodes,
                 system.acct_stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
+                system.cluster().stats()
             ))
         }
         SweepApp::A2m => {
@@ -2153,10 +2143,7 @@ pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError>
                 system,
                 nodes,
                 system.acct_stats(),
-                0,
-                0,
-                0,
-                0
+                system.cluster().stats()
             ))
         }
     }
@@ -2403,6 +2390,8 @@ pub struct ChurnScenarioResult {
     pub messages_unreachable: u64,
     /// Sends refused by an open partition cut.
     pub messages_partitioned: u64,
+    /// Violations the run's online lemma monitor flagged.
+    pub lemma_violations: u64,
 }
 
 /// The most severe verdict any correct witness holds over any correct
@@ -2484,6 +2473,7 @@ pub fn run_churn_scenario(
         challenge_retries: outcome.stats.challenge_retries,
         messages_unreachable: outcome.messages_unreachable,
         messages_partitioned: outcome.messages_partitioned,
+        lemma_violations: outcome.lemma_violations,
     })
 }
 
@@ -2720,6 +2710,44 @@ mod tests {
         );
         let gate = gates::trace_overhead_gate(Some(slow.pct()), 150.0);
         assert!(!gate.passed, "{slow:?}");
+    }
+
+    #[test]
+    fn injected_lemma_violation_trips_lemmas_gate_and_writes_flight_record() {
+        let scenario = Scenario::suite()
+            .into_iter()
+            .find(|s| s.name == "fault-free")
+            .unwrap();
+        let mode = CommitMode::Piggyback { witnesses: 2 };
+        let mut result = run_scenario_mode(&scenario, Baseline::Tnic, mode).unwrap();
+        assert!(gates::lemmas_gate(&[result.clone()], &[], &[]).passed);
+
+        // A monitor holding one violation: an acceptance no sender sent.
+        let mut monitor = tnic_core::LemmaMonitor::new();
+        monitor.accepted(
+            tnic_device::types::DeviceId(2),
+            tnic_device::types::DeviceId(1),
+            tnic_core::SessionId(1),
+            0,
+            b"forged",
+        );
+        result.lemma_violations = monitor.violation_count();
+        let gate = gates::lemmas_gate(&[result], &[], &[]);
+        assert!(!gate.passed);
+        assert_eq!(
+            gate.violations,
+            ["fault-free [TNIC / piggyback(w=2)]: 1 lemma violation(s)"]
+        );
+
+        let dir = std::env::temp_dir().join(format!("tnic-lemmas-gate-{}", std::process::id()));
+        let path = report::write_gate_flight_record(&dir, &[gate], &[], 0, &[]).unwrap();
+        let record = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            record.contains("\"reason\": \"failing gates: lemmas\""),
+            "{record}"
+        );
+        assert!(record.contains("1 lemma violation(s)"), "{record}");
     }
 
     #[test]

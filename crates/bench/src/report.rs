@@ -423,6 +423,54 @@ pub fn timeline_section(scenario: &str, events: &[Event], dropped: u64) -> Strin
     out
 }
 
+/// One gate outcome as a JSON object: name, pass flag and violations.
+fn gate_json(gate: &GateOutcome) -> String {
+    use tnic_obs::export::json_escape;
+    let violations: Vec<String> = gate
+        .violations
+        .iter()
+        .map(|v| format!("\"{}\"", json_escape(v)))
+        .collect();
+    format!(
+        "{{\"name\":\"{}\",\"passed\":{},\"violations\":[{}]}}",
+        json_escape(gate.name),
+        gate.passed,
+        violations.join(",")
+    )
+}
+
+/// Writes the post-mortem of a run whose gates did not all pass to
+/// `dir/flightrec-reproduce.json`: the failing gates by name as the
+/// reason, each failing gate with its violations, the given `sections`
+/// and the tail of `events`.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from writing the record.
+pub fn write_gate_flight_record(
+    dir: &Path,
+    gates: &[GateOutcome],
+    events: &[Event],
+    dropped: u64,
+    sections: &[(&str, String)],
+) -> std::io::Result<std::path::PathBuf> {
+    let failing: Vec<&GateOutcome> = gates.iter().filter(|g| !g.passed).collect();
+    let names: Vec<&str> = failing.iter().map(|g| g.name).collect();
+    let reason = format!("failing gates: {}", names.join(", "));
+    let failing_json: Vec<String> = failing.iter().map(|g| gate_json(g)).collect();
+    let mut all_sections = vec![("failing_gates", format!("[{}]", failing_json.join(",")))];
+    all_sections.extend(sections.iter().map(|(k, v)| (*k, v.clone())));
+    tnic_obs::flight::write_flight_record(
+        dir,
+        "reproduce",
+        &reason,
+        events,
+        dropped,
+        4096,
+        &all_sections,
+    )
+}
+
 /// The machine-readable run summary (`BENCH_report.json`): gate outcomes,
 /// per-scenario numbers and the full metrics-registry snapshot in one JSON
 /// document, so the perf trajectory is diffable across PRs alongside the
@@ -436,22 +484,7 @@ pub fn report_json(
     headline: &[(&str, String)],
 ) -> String {
     use tnic_obs::export::json_escape;
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|g| {
-            let violations: Vec<String> = g
-                .violations
-                .iter()
-                .map(|v| format!("\"{}\"", json_escape(v)))
-                .collect();
-            format!(
-                "{{\"name\":\"{}\",\"passed\":{},\"violations\":[{}]}}",
-                json_escape(g.name),
-                g.passed,
-                violations.join(",")
-            )
-        })
-        .collect();
+    let gates_json: Vec<String> = gates.iter().map(gate_json).collect();
     let scenarios_json: Vec<String> = results
         .iter()
         .map(|r| {

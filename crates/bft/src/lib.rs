@@ -755,7 +755,6 @@ impl BftCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnic_core::TraceChecker;
     use tnic_net::adversary::NodeFault;
 
     fn bft(batch: usize) -> BftCounter {
@@ -808,7 +807,7 @@ mod tests {
         assert_eq!(system.replica_value(NodeId(0)), 5);
         assert_eq!(system.replica_value(NodeId(1)), 5);
         assert_eq!(system.replica_value(NodeId(2)), 5);
-        assert!(TraceChecker::check(system.cluster().trace()).holds());
+        assert!(system.cluster().lemmas().holds());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
 //! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
 //! `auth_send`, `poll` and `rem_read`/`rem_write`. A [`Cluster`] owns one
-//! [`Endpoint`] per node, the shared virtual clock and the recorded action
-//! facts used by the lemma checker.
+//! [`Endpoint`] per node, the shared virtual clock and the online
+//! [`LemmaMonitor`] that checks every send and acceptance against the
+//! paper's lemmas as it happens.
 //!
 //! Every message flows through an attestation [`Provider`], so the same
 //! application code runs over TNIC hardware or any of the TEE baselines —
@@ -14,10 +15,9 @@
 use crate::accountability::SharedAccountability;
 use crate::error::CoreError;
 use crate::provider::Provider;
-use crate::verification::{ActionFact, TraceLog};
+use crate::verification::{LemmaMonitor, VerificationReport};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tnic_crypto::ed25519::{Keypair, Signature, VerifyingKey};
-use tnic_crypto::sha256::sha256;
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::dma::DmaRegion;
 use tnic_device::roce::packet::{PacketHeader, RdmaOpcode, RocePacket};
@@ -117,6 +117,9 @@ pub struct ClusterStats {
     /// instead of as their own message (also via
     /// [`Cluster::note_audit_message`]).
     pub messages_batched: u64,
+    /// Lemma violations flagged by the cluster's online monitor (see
+    /// [`Cluster::lemmas`]); zero on every honest run.
+    pub lemma_violations: u64,
 }
 
 /// A set of TNIC nodes wired together over a (modelled) network stack.
@@ -131,7 +134,7 @@ pub struct Cluster {
     local_sessions: HashMap<NodeId, SessionId>,
     client_keys: HashMap<NodeId, VerifyingKey>,
     next_session: u32,
-    trace: TraceLog,
+    lemmas: LemmaMonitor,
     stats: ClusterStats,
     accountability: Option<SharedAccountability>,
     adversary: Option<(Adversary, DetRng)>,
@@ -181,7 +184,7 @@ impl Cluster {
             local_sessions: HashMap::new(),
             client_keys: HashMap::new(),
             next_session: 1,
-            trace: TraceLog::new(),
+            lemmas: LemmaMonitor::new(),
             stats: ClusterStats::default(),
             accountability: None,
             adversary: None,
@@ -255,16 +258,20 @@ impl Cluster {
         self.endpoints.keys().copied().collect()
     }
 
-    /// The recorded action-fact trace (input to the lemma checker).
+    /// The online lemma monitor's verdict on every send and acceptance so
+    /// far.
     #[must_use]
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    pub fn lemmas(&self) -> VerificationReport {
+        self.lemmas.report()
     }
 
     /// Aggregate statistics.
     #[must_use]
     pub fn stats(&self) -> ClusterStats {
-        self.stats
+        ClusterStats {
+            lemma_violations: self.lemmas.violation_count(),
+            ..self.stats
+        }
     }
 
     /// Attaches an accountability layer that observes every attested send and
@@ -543,30 +550,23 @@ impl Cluster {
         }
     }
 
-    fn record_sent(&mut self, node: NodeId, msg: &AttestedMessage) {
-        let at = self.clock.now();
-        self.trace.record(
-            at,
-            ActionFact::Sent {
-                endpoint: node.device(),
-                session: msg.session,
-                counter: msg.counter,
-                digest: sha256(&msg.payload),
-            },
+    fn record_sent(&mut self, node: NodeId, msg: &AttestedMessage, receivers: usize) {
+        self.lemmas.sent(
+            node.device(),
+            msg.session,
+            msg.counter,
+            &msg.payload,
+            receivers,
         );
     }
 
     fn record_accepted(&mut self, node: NodeId, msg: &AttestedMessage) {
-        let at = self.clock.now();
-        self.trace.record(
-            at,
-            ActionFact::Accepted {
-                endpoint: node.device(),
-                session: msg.session,
-                sender: msg.device,
-                counter: msg.counter,
-                digest: sha256(&msg.payload),
-            },
+        self.lemmas.accepted(
+            node.device(),
+            msg.device,
+            msg.session,
+            msg.counter,
+            &msg.payload,
         );
     }
 
@@ -593,7 +593,7 @@ impl Cluster {
         let endpoint = self.endpoint_mut(node)?;
         let (msg, cost) = endpoint.provider.attest(session, payload)?;
         self.clock.advance(cost);
-        self.record_sent(node, &msg);
+        self.record_sent(node, &msg, 0);
         Ok(msg)
     }
 
@@ -672,7 +672,7 @@ impl Cluster {
         let payload = wrapped.as_deref().unwrap_or(payload);
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
-        self.record_sent(from, &msg);
+        self.record_sent(from, &msg, 1);
         self.notify_sent(from, to, &msg);
         self.stats.messages_sent += 1;
         // The (sender, attestation counter) pair recorded as (node, seq) is
@@ -868,7 +868,7 @@ impl Cluster {
         let payload = wrapped.as_deref().unwrap_or(payload);
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
-        self.record_sent(from, &msg);
+        self.record_sent(from, &msg, receivers.len());
         for &to in receivers {
             self.notify_sent(from, to, &msg);
             self.stats.messages_sent += 1;
@@ -1055,7 +1055,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verification::TraceChecker;
     use tnic_device::error::DeviceError;
 
     fn cluster(n: u32) -> Cluster {
@@ -1084,7 +1083,7 @@ mod tests {
             c.auth_send(NodeId(1), NodeId(2), format!("f{i}").as_bytes())
                 .unwrap();
         }
-        let report = TraceChecker::check(c.trace());
+        let report = c.lemmas();
         assert!(report.holds(), "{:?}", report.violations);
         assert_eq!(report.sends, 10);
         assert_eq!(report.accepts, 10);
@@ -1101,7 +1100,7 @@ mod tests {
         ));
         assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
         assert_eq!(c.stats().messages_rejected, 1);
-        assert!(TraceChecker::check(c.trace()).holds());
+        assert!(c.lemmas().holds());
     }
 
     #[test]
@@ -1143,7 +1142,7 @@ mod tests {
         let delivered = c.poll(NodeId(1)).unwrap();
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[1].message.payload, b"after");
-        assert!(TraceChecker::check(c.trace()).holds());
+        assert!(c.lemmas().holds());
     }
 
     #[test]
@@ -1183,7 +1182,118 @@ mod tests {
             assert_eq!(delivered[0].message.counter, 0);
             assert_eq!(delivered[0].message.payload, b"bcast");
         }
-        assert!(TraceChecker::check(c.trace()).holds());
+        assert!(c.lemmas().holds());
+    }
+
+    #[test]
+    fn lemma_monitor_state_stays_bounded_over_a_long_mixed_run() {
+        let mut c = cluster(3);
+        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+        for &n in &nodes {
+            let others: Vec<NodeId> = nodes.iter().copied().filter(|&o| o != n).collect();
+            c.establish_group(n, &others).unwrap();
+        }
+        // Directed streams: 3·2 pairwise plus 3·2 group legs.
+        let links = 12;
+        let (mut largest, mut expected_accepts) = (0, 0);
+        for i in 0..10_000usize {
+            match i {
+                2_000 => c.set_adversary(Adversary::Drop { probability: 0.3 }, 5),
+                4_000 => c.set_adversary(Adversary::Replay { probability: 0.3 }, 6),
+                6_000 => {
+                    c.clear_adversary();
+                }
+                _ => {}
+            }
+            let from = nodes[i % 3];
+            let payload = vec![i as u8; (i % 97) * 8];
+            largest = largest.max(payload.len());
+            let receivers: Vec<NodeId> = if i % 4 == 0 {
+                nodes.iter().copied().filter(|&o| o != from).collect()
+            } else {
+                vec![nodes[(i + 1 + (i / 3) % 2) % 3]]
+            };
+            if receivers.len() > 1 {
+                c.multicast(from, &receivers, &payload).unwrap();
+            } else {
+                c.auth_send(from, receivers[0], &payload).unwrap();
+            }
+            expected_accepts += receivers.len();
+            for &to in &receivers {
+                c.poll(to).unwrap();
+            }
+            let report = c.lemmas();
+            assert!(report.retained_records <= links, "{report:?}");
+            assert!(report.retained_payload_bytes <= largest, "{report:?}");
+        }
+        assert!(c.stats().messages_rejected > 0, "the adversary interfered");
+        let report = c.lemmas();
+        assert!(report.holds(), "{:?}", report.violations);
+        assert_eq!(report.sends, 10_000);
+        assert_eq!(report.accepts, expected_accepts);
+        assert_eq!(report.retained_records, 0);
+    }
+
+    /// Node 0 attests `payload` on its session with node 1 under a key node
+    /// 1 does not hold yet, so the in-scope delivery is rejected; node 1 is
+    /// then keyed, and a rogue holder of the key attests `delivered` under
+    /// the same counter and delivers it externally.
+    fn deliver_after_rejection(sent: &[u8], delivered: &[u8]) -> Cluster {
+        let mut c = cluster(2);
+        let session = c.session_between(NodeId(0), NodeId(1)).unwrap();
+        let key = [7u8; 32];
+        c.endpoint_mut(NodeId(0))
+            .unwrap()
+            .provider
+            .install_session_key(session, key);
+        assert!(matches!(
+            c.auth_send(NodeId(0), NodeId(1), sent),
+            Err(CoreError::Device(DeviceError::BadAttestation))
+        ));
+        assert_eq!(
+            c.lemmas().retained_records,
+            1,
+            "the rejected send stays owed"
+        );
+        c.endpoint_mut(NodeId(1))
+            .unwrap()
+            .provider
+            .install_session_key(session, key);
+        let mut rogue = Provider::new(Baseline::Tnic, NodeId(0).device(), 99);
+        rogue.install_session_key(session, key);
+        let (msg, _) = rogue.attest(session, delivered).unwrap();
+        assert_eq!(msg.counter, 0);
+        c.deliver(NodeId(0), NodeId(1), msg).unwrap();
+        c
+    }
+
+    #[test]
+    fn rejected_send_delivered_externally_is_checked_against_its_bytes() {
+        let c = deliver_after_rejection(b"pay alice 10", b"pay alice 10");
+        let report = c.lemmas();
+        assert!(report.holds(), "{:?}", report.violations);
+        assert_eq!(report.retained_records, 0);
+
+        let c = deliver_after_rejection(b"pay alice 10", b"pay malory 9");
+        let report = c.lemmas();
+        assert_eq!(report.violation_count, 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("transferable authentication"));
+        assert_eq!(c.stats().lemma_violations, 1);
+        assert_eq!(report.retained_records, 0);
+    }
+
+    #[test]
+    fn multicast_to_a_subset_of_its_group_retires_its_records() {
+        let mut c = cluster(3);
+        c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
+            .unwrap();
+        for i in 0..100 {
+            c.multicast(NodeId(0), &[NodeId(1)], format!("m{i}").as_bytes())
+                .unwrap();
+        }
+        let report = c.lemmas();
+        assert!(report.holds(), "{:?}", report.violations);
+        assert_eq!(report.retained_records, 0);
     }
 
     #[test]

@@ -686,7 +686,6 @@ impl ChainReplication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnic_core::TraceChecker;
     use tnic_net::adversary::NodeFault;
 
     fn chain() -> ChainReplication {
@@ -720,7 +719,7 @@ mod tests {
         let get = cr.get(b"key-1").unwrap();
         assert!(get.committed);
         assert_eq!(get.output.unwrap(), b"value-1");
-        assert!(TraceChecker::check(cr.cluster().trace()).holds());
+        assert!(cr.cluster().lemmas().holds());
     }
 
     #[test]

@@ -340,15 +340,17 @@ impl LogComposition {
     }
 }
 
-/// Computes the chained hash of an entry.
+/// Computes the chained hash of an entry: SHA-256 over
+/// `prev ‖ seq ‖ kind tag ‖ peer ‖ SHA-256(content)`, laid out in a 77 B
+/// stack buffer (it runs on every append and every replayed entry).
 #[must_use]
 pub fn chain_hash(prev: &[u8; 32], seq: u64, kind: EntryKind, content: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(32 + 8 + 1 + 4 + 32);
-    buf.extend_from_slice(prev);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.push(kind.tag());
-    buf.extend_from_slice(&kind.peer().to_le_bytes());
-    buf.extend_from_slice(&sha256(content));
+    let mut buf = [0u8; 32 + 8 + 1 + 4 + 32];
+    buf[..32].copy_from_slice(prev);
+    buf[32..40].copy_from_slice(&seq.to_le_bytes());
+    buf[40] = kind.tag();
+    buf[41..45].copy_from_slice(&kind.peer().to_le_bytes());
+    buf[45..].copy_from_slice(&sha256(content));
     sha256(&buf)
 }
 
@@ -764,6 +766,27 @@ mod tests {
         assert_eq!(log.head_at(3), Some(log.head()));
         assert_eq!(log.head_at(0), Some(GENESIS_HEAD));
         assert_eq!(log.head_at(4), None);
+    }
+
+    #[test]
+    fn chain_hash_matches_pinned_vectors() {
+        fn hex(digest: &[u8; 32]) -> String {
+            digest.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        // Values of the original heap-buffer implementation.
+        assert_eq!(
+            hex(&chain_hash(
+                &[0x11; 32],
+                0x0102_0304_0506_0708,
+                EntryKind::Recv { from: 0xA1B2_C3D4 },
+                b"tnic chain hash vector"
+            )),
+            "14267eaff69525c8331eb9f6d79b25edfb0767b222e707d7909586cbde63cfb3"
+        );
+        assert_eq!(
+            hex(&chain_hash(&GENESIS_HEAD, 0, EntryKind::Exec, b"")),
+            "88daac12d7b6d094b3b11aa305720dbf8382202f2825f3526324f673eeff9667"
+        );
     }
 
     #[test]

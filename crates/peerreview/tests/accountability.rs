@@ -11,7 +11,6 @@
 //! clean-network twin) lives in `tnic-bench/tests/verdict_parity.rs` on the
 //! reusable [`tnic_bench`] verdict-parity harness.
 
-use tnic_core::verification::TraceChecker;
 use tnic_net::adversary::{FaultPlan, NodeFault};
 use tnic_net::stack::NetworkStackKind;
 use tnic_peerreview::audit::{Misbehavior, Verdict};
@@ -62,7 +61,7 @@ fn equivocating_node_is_exposed_by_every_correct_witness() {
     }
     // The substrate-level lemmas hold throughout: equivocation happened at
     // the commitment layer, never as a forged or replayed message.
-    assert!(TraceChecker::check(pr.cluster().trace()).holds());
+    assert!(pr.cluster().lemmas().holds());
 }
 
 #[test]
@@ -84,7 +83,7 @@ fn fault_free_run_yields_no_suspected_or_exposed_nodes() {
     assert_eq!(stats.unanswered_challenges, 0);
     assert_eq!(stats.responses, stats.challenges);
     assert!(stats.challenges > 0, "audits actually ran");
-    assert!(TraceChecker::check(pr.cluster().trace()).holds());
+    assert!(pr.cluster().lemmas().holds());
 }
 
 #[test]
